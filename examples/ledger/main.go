@@ -151,6 +151,7 @@ func main() {
 		float64(batches*eventsPerBatch)/elapsed.Seconds()/1000,
 		st.Overlap.Round(time.Millisecond),
 		100*float64(st.Overlap)/float64(max(st.ExecBusy, 1)))
-	fmt.Printf("end-to-end latency: p50=%v p99=%v\n",
-		eng.Latency().Percentile(50), eng.Latency().Percentile(99))
+	lat := eng.Latency()
+	fmt.Printf("end-to-end latency (power-of-two bucket bounds): p50<=%v p99<=%v\n",
+		time.Duration(lat.Quantile(0.50)), time.Duration(lat.Quantile(0.99)))
 }

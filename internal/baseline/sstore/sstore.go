@@ -45,10 +45,15 @@ func (e *Engine) Run(b *workload.Batch, threads int, bd *metrics.Breakdown) base
 	}
 
 	// Single-version state: S-Store keeps one copy per key, which is why
-	// its memory footprint stays flat in Fig. 16b.
-	state := make(map[workload.Key]int64, len(b.State))
+	// its memory footprint stays flat in Fig. 16b. Each partition owns its
+	// keys' map, and a transaction only touches partitions it holds, so
+	// concurrently executing transactions never share a map.
+	state := make(partitioned, nparts)
+	for p := range state {
+		state[p] = make(map[workload.Key]int64, len(b.State)/nparts+1)
+	}
 	for k, v := range b.State {
-		state[k] = v
+		state[partOf(k)][k] = v
 	}
 
 	// Sort transactions by timestamp and build per-partition queues.
@@ -127,7 +132,7 @@ func (e *Engine) Run(b *workload.Batch, threads int, bd *metrics.Breakdown) base
 				sw.Stop(bd, metrics.Lock)
 				mu.Unlock()
 
-				ok := runTxn(specs[i], state, bd)
+				ok := runTxn(specs[i], state, partOf, bd)
 
 				mu.Lock()
 				if ok {
@@ -145,18 +150,29 @@ func (e *Engine) Run(b *workload.Batch, threads int, bd *metrics.Breakdown) base
 	}
 	wg.Wait()
 
+	final := make(map[workload.Key]int64, len(b.State))
+	for _, m := range state {
+		for k, v := range m {
+			final[k] = v
+		}
+	}
 	return baseline.Result{
 		Committed:  committed,
 		Aborted:    aborted,
 		Attempts:   1,
-		FinalState: state,
+		FinalState: final,
 	}
 }
 
+// partitioned is the state split into one map per partition.
+type partitioned []map[workload.Key]int64
+
 // runTxn executes one transaction against the partitioned state with
 // buffered writes: reads observe pre-transaction values, and an abort
-// discards the buffer (atomicity without undo logging).
-func runTxn(s workload.TxnSpec, state map[workload.Key]int64, bd *metrics.Breakdown) bool {
+// discards the buffer (atomicity without undo logging). The caller holds
+// every partition the transaction's keys map to.
+func runTxn(s workload.TxnSpec, state partitioned, partOf func(workload.Key) int, bd *metrics.Breakdown) bool {
+	get := func(k workload.Key) int64 { return state[partOf(k)][k] }
 	sw := metrics.Start()
 	defer sw.Stop(bd, metrics.Useful)
 
@@ -168,11 +184,11 @@ func runTxn(s workload.TxnSpec, state map[workload.Key]int64, bd *metrics.Breakd
 		}
 		src := make([]int64, len(op.Srcs))
 		for i, k := range op.Srcs {
-			src[i] = state[k]
+			src[i] = get(k)
 		}
 		if op.Fn == workload.FnRead {
 			if len(src) == 0 {
-				src = []int64{state[key]}
+				src = []int64{get(key)}
 			}
 			if _, ok := workload.Eval(op, src); !ok {
 				return false
@@ -186,7 +202,7 @@ func runTxn(s workload.TxnSpec, state map[workload.Key]int64, bd *metrics.Breakd
 		buf[key] = v
 	}
 	for k, v := range buf {
-		state[k] = v
+		state[partOf(k)][k] = v
 	}
 	return true
 }

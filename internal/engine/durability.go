@@ -175,9 +175,9 @@ func (e *Engine) openDurability() error {
 // operations touched, O(touched) not O(table) — for the final version of
 // every key written since the previous punctuation and appends them as one
 // record. Under the default sync policy the append fsyncs, so a delivered
-// result implies a durable batch. A WAL failure is sticky: later batches
-// stop logging (their results carry Durable=false) and Close reports the
-// first error.
+// result implies a durable batch. A WAL failure is sticky and counted in
+// morph_wal_errors_total: later batches stop logging (their results carry
+// Durable=false) and Close reports the first error.
 //
 // Every SnapshotEvery punctuations the hook also checkpoints: normally an
 // incremental diff cut from the dirty keys accumulated since the previous
@@ -194,7 +194,7 @@ func (e *Engine) commitWAL(res *BatchResult, batchMaxTS uint64, dirty []store.Ke
 		Shards: e.table.LatestFor(dirty, e.walWatermark+1),
 	}
 	if err := e.wal.Append(rec); err != nil {
-		e.walErr = fmt.Errorf("engine: wal append seq %d: %w", res.Seq, err)
+		e.failWAL(fmt.Errorf("engine: wal append seq %d: %w", res.Seq, err))
 		return
 	}
 	e.walWatermark = maxTS
@@ -214,12 +214,18 @@ func (e *Engine) commitWAL(res *BatchResult, batchMaxTS uint64, dirty []store.Ke
 			err = e.wal.SnapshotDiff(res.Seq, maxTS, e.table.LatestFor(acc, e.snapWatermark+1))
 		}
 		if err != nil {
-			e.walErr = fmt.Errorf("engine: wal snapshot seq %d: %w", res.Seq, err)
+			e.failWAL(fmt.Errorf("engine: wal snapshot seq %d: %w", res.Seq, err))
 			return
 		}
 		clear(e.snapDirty)
 		e.snapWatermark = maxTS
 	}
+}
+
+// failWAL makes err the sticky logging failure and counts it.
+func (e *Engine) failWAL(err error) {
+	e.walErr = err
+	e.inst.walErrors.Inc()
 }
 
 // closeWAL closes the log once the executor has quiesced, surfacing any

@@ -101,10 +101,11 @@ type Config struct {
 	// streaming lifecycle: Start recovers, every punctuation logs the
 	// batch's net state deltas, Close closes the log. See durability.go.
 	Durability *Durability
-	// Telemetry, when non-nil, registers the engine's instruments (and the
-	// executor's and WAL's, plumbed through) on the registry: per-batch
-	// counters, latency histograms, and scrape-time ring/overlap/WAL views.
-	// Nil costs the hot path nothing beyond nil-check branches. See
+	// Telemetry is the registry the engine keeps its accounting in (and the
+	// executor's and WAL's series, plumbed through): per-batch counters,
+	// stage and event-latency histograms, and scrape-time ring/overlap
+	// views. Nil gives the engine a private registry, so PipelineStats and
+	// Latency work either way; pass one to expose or share the series. See
 	// stats.go and morphstream.WithTelemetry.
 	Telemetry *telemetry.Registry
 }
@@ -286,9 +287,6 @@ type Engine struct {
 	table *store.Table
 	pc    progressController
 
-	// StreamManager state.
-	latency *metrics.LatencyRecorder
-
 	// TxnManager state: transaction sequence and the per-group builder
 	// pool shared by the planning and execution stages.
 	txnSeq   atomic.Int64
@@ -319,10 +317,10 @@ type Engine struct {
 
 	batches atomic.Int64
 
-	// totals and inst feed PipelineStats and the telemetry registry: the
-	// executor stage folds each batch in via recordBatch (stats.go).
-	totals pipeTotals
-	inst   engineInstruments
+	// inst are the engine's registry series, the single store behind
+	// PipelineStats and Latency: the executor stage folds each batch in via
+	// recordBatch (stats.go).
+	inst engineInstruments
 
 	// Durability state (durability.go). wal and walWatermark are touched
 	// only at quiescent points (Start under lifeMu, the executor stage's
@@ -389,8 +387,11 @@ func WithResultSink(fn func(*BatchResult)) Option {
 	return func(c *Config) { c.Sink = fn }
 }
 
-// WithTelemetry registers the engine's instruments — and, through the
-// config plumbing, the executor's and the WAL's — on reg (Config.Telemetry).
+// WithTelemetry keeps the engine's accounting — and, through the config
+// plumbing, the executor's and the WAL's series — on reg (Config.Telemetry)
+// instead of a private registry. Engines sharing reg share its totals:
+// each one's PipelineStats and Latency then report the registry-wide
+// figures, as /metrics does.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(c *Config) { c.Telemetry = reg }
 }
@@ -409,10 +410,12 @@ func New(cfg Config, opts ...Option) *Engine {
 	if cfg.IngestBuffer <= 0 {
 		cfg.IngestBuffer = DefaultIngestBuffer
 	}
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.NewRegistry()
+	}
 	e := &Engine{
 		cfg:            cfg,
 		table:          store.NewTable(),
-		latency:        metrics.NewLatencyRecorder(),
 		lastComplexity: 10 * time.Microsecond,
 		Breakdown:      &metrics.Breakdown{},
 		results:        make(chan *BatchResult, resultsBuffer),
@@ -426,12 +429,14 @@ func New(cfg Config, opts ...Option) *Engine {
 // Drain/Close.
 func (e *Engine) Table() *store.Table { return e.table }
 
-// Latency exposes the end-to-end latency recorder.
-func (e *Engine) Latency() *metrics.LatencyRecorder { return e.latency }
+// Latency reads the per-event latency histogram (arrival to
+// post-processing, in ns; series morph_engine_event_latency_ns): one
+// observation per executed event, bounded memory, power-of-two buckets.
+func (e *Engine) Latency() telemetry.HistSnapshot { return e.inst.eventLatency.Snapshot() }
 
-// Batches reports how many punctuations have been processed.
+// Batches reports how many punctuations have been processed, including
+// those restored by durability recovery (the batch sequence watermark).
 func (e *Engine) Batches() int { return int(e.batches.Load()) }
-
 
 // universeSnapshot supplies the ND fan-out key universe to TPG builders: the
 // table's key set as of the last quiescent refresh. Keys interned after the
@@ -578,6 +583,9 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 			threads = 1
 		}
 	}
+	// The decision model profiles this batch's own UDF cost: the Useful
+	// bucket is cumulative, so take its delta across execution.
+	usefulBefore := e.Breakdown.Get(metrics.Useful)
 	results := make([]exec.Result, len(jobs))
 	var wg sync.WaitGroup
 	for i, j := range jobs {
@@ -610,7 +618,7 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 	now := time.Now()
 	for _, ce := range pb.cache {
 		_ = ce.op.PostProcess(ce.ev, ce.eb, ce.t.Aborted())
-		e.latency.Record(now.Sub(ce.ev.Arrival))
+		e.inst.eventLatency.Record(int64(now.Sub(ce.ev.Arrival)))
 	}
 
 	// Profile workload characteristics for the next batch's decisions.
@@ -618,7 +626,7 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 		e.lastAbortRatio = float64(res.Aborted) / float64(total)
 	}
 	if res.OpsExecuted > 0 {
-		if useful := e.Breakdown.Get(metrics.Useful); useful > 0 {
+		if useful := e.Breakdown.Get(metrics.Useful) - usefulBefore; useful > 0 {
 			e.lastComplexity = useful / time.Duration(res.OpsExecuted)
 		}
 	}
@@ -648,12 +656,6 @@ func (e *Engine) executeBatch(pb *plannedBatch) *BatchResult {
 		commitStart := time.Now()
 		e.commitWAL(res, pb.maxTS, pb.dirty)
 		commitTime = time.Since(commitStart)
-		// Mirror the single-writer log's watermarks into atomics so
-		// PipelineStats and the admin server can read them mid-traffic.
-		if e.wal != nil {
-			e.totals.walLastSeq.Store(e.wal.LastSeq())
-			e.totals.walChainLen.Store(int64(e.wal.ChainLen()))
-		}
 	}
 	for _, pj := range pb.jobs {
 		pj.builder.Recycle(pj.graph)

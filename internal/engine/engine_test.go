@@ -153,8 +153,8 @@ func TestEngineAbortFlagsPostProcess(t *testing.T) {
 	if v.(int64) != 5 {
 		t.Fatalf("acct = %v; want 5", v)
 	}
-	if e.Latency().Count() != 10 {
-		t.Fatalf("latency samples = %d; want 10", e.Latency().Count())
+	if e.Latency().Count != 10 {
+		t.Fatalf("latency samples = %d; want 10", e.Latency().Count)
 	}
 }
 

@@ -118,8 +118,8 @@ func TestPipelineBasicFlow(t *testing.T) {
 	if e.Batches() != len(results) {
 		t.Fatalf("Batches() = %d; want %d", e.Batches(), len(results))
 	}
-	if e.Latency().Count() != events {
-		t.Fatalf("latency samples = %d; want %d", e.Latency().Count(), events)
+	if e.Latency().Count != events {
+		t.Fatalf("latency samples = %d; want %d", e.Latency().Count, events)
 	}
 	st := e.PipelineStats()
 	if st.PlanBusy <= 0 || st.ExecBusy <= 0 {

@@ -1,27 +1,33 @@
 package engine
 
 import (
-	"sync/atomic"
 	"time"
 
 	"morphstream/internal/metrics"
 	"morphstream/internal/telemetry"
+	"morphstream/internal/wal"
 )
 
 // PipelineStats is the engine's uniform observability surface: the
 // plan/execute overlap meter reading plus cumulative totals across every
-// punctuation processed so far. The executor stage accumulates the totals
-// once per batch into padless atomics, so PipelineStats is safe to call
-// concurrently from any goroutine (the admin server's /statusz scrapes it
-// mid-traffic) — the totals are a consistent-enough racy read: each field is
-// individually monotonic.
+// punctuation processed so far. It is a read-only view over the engine's
+// telemetry registry — the single store every per-batch count and stage
+// duration is written to — so PipelineStats is safe to call concurrently
+// from any goroutine (the admin server's /statusz scrapes it mid-traffic);
+// each field is individually monotonic.
+//
+// When several engines share one registry (WithTelemetry), the registry
+// totals are what PipelineStats reports, exactly as /metrics does; the
+// overlap meter and the Ingest* ring readings stay per engine.
 type PipelineStats struct {
 	metrics.OverlapStats
 
-	// Batches is the number of punctuations processed (== Engine.Batches).
+	// Batches is the number of punctuations processed since New. Unlike
+	// Engine.Batches, it excludes batches restored by durability recovery.
 	Batches int64
-	// Events counts input events across all batches; Dropped the subset
-	// discarded by PreProcess failures.
+	// Events counts the input events planned and executed across all
+	// batches (BatchResult.Events, summed); Dropped counts the ingested
+	// events PreProcess discarded instead, which Events excludes.
 	Events  int64
 	Dropped int64
 	// Committed and Aborted count state transactions.
@@ -49,11 +55,14 @@ type PipelineStats struct {
 	// + record encode + append + fsync); zero with durability off.
 	CommitElapsed time.Duration
 	// DurableBatches counts delivered batches whose results carried
-	// Durable=true; WALLastSeq and WALDiffChain mirror the log's sequence
+	// Durable=true; WALLastSeq and WALDiffChain are the log's sequence
 	// watermark and incremental-snapshot chain length.
 	DurableBatches int64
 	WALLastSeq     int64
 	WALDiffChain   int
+	// WALErrors counts WAL failures: the first one is sticky, so after it
+	// batches stop logging and Close returns it.
+	WALErrors int64
 
 	// IngestDepth and IngestCapacity are the submission ring's approximate
 	// occupancy and size (zero when the pipeline never ran); IngestStalls
@@ -64,28 +73,10 @@ type PipelineStats struct {
 	IngestStalls   int64
 }
 
-// pipeTotals is the engine-internal accumulator behind PipelineStats:
-// written once per batch by the executor stage, read concurrently by
-// PipelineStats callers. Plain atomics — per-batch update frequency needs no
-// striping.
-type pipeTotals struct {
-	events, dropped       atomic.Int64
-	committed, aborted    atomic.Int64
-	abortRounds, redos    atomic.Int64
-	opsExecuted           atomic.Int64
-	steals, parks         atomic.Int64
-	fusedOps              atomic.Int64
-	planNS, execNS        atomic.Int64
-	commitNS              atomic.Int64
-	durable               atomic.Int64
-	walLastSeq            atomic.Int64
-	walChainLen           atomic.Int64
-}
-
-// engineInstruments are the registry series the engine itself owns. All nil
-// when the engine has no registry — every recording below is then a nil
-// check. The executor's (steals, parks, shard occupancy) and the WAL's
-// (appends, fsync, snapshots) series are owned by those packages.
+// engineInstruments are the engine's series on its registry (the caller's,
+// or a private one): the only copy of every per-batch count, stage duration
+// and event latency. The WAL keeps its watermark gauges current itself; the
+// engine holds them only to read.
 type engineInstruments struct {
 	eventsPlanned *telemetry.Counter
 	eventsDropped *telemetry.Counter
@@ -95,16 +86,24 @@ type engineInstruments struct {
 	abortRounds   *telemetry.Counter
 	redos         *telemetry.Counter
 	fusedOps      *telemetry.Counter
+	opsExecuted   *telemetry.Counter
+	steals        *telemetry.Counter
+	parks         *telemetry.Counter
+	durable       *telemetry.Counter
+	walErrors     *telemetry.Counter
 	planNS        *telemetry.Histogram
 	execNS        *telemetry.Histogram
 	commitNS      *telemetry.Histogram
 	batchEvents   *telemetry.Histogram
+	eventLatency  *telemetry.Histogram
+	walLastSeq    *telemetry.Gauge
+	walChainLen   *telemetry.Gauge
 }
 
-// setupTelemetry registers the engine's series on cfg.Telemetry. The
-// per-batch counters live in e.inst; scrape-time views (ring depth, overlap,
-// WAL watermarks) read the pipeline and totals through callbacks. Safe on a
-// nil registry: every constructor returns a nil no-op instrument.
+// setupTelemetry registers the engine's series on cfg.Telemetry (non-nil:
+// New supplies a private registry when the caller passes none). The
+// per-batch series live in e.inst; scrape-time views (ring depth, overlap)
+// read the pipeline through callbacks.
 func (e *Engine) setupTelemetry() {
 	reg := e.cfg.Telemetry
 	e.inst = engineInstruments{
@@ -116,14 +115,18 @@ func (e *Engine) setupTelemetry() {
 		abortRounds:   reg.Counter("morph_engine_abort_rounds_total", "Abort/rollback machinery invocations."),
 		redos:         reg.Counter("morph_engine_redos_total", "Operation re-executions caused by rollback."),
 		fusedOps:      reg.Counter("morph_engine_fused_ops_total", "Operations executed inside fused TPG vertices."),
+		opsExecuted:   reg.Counter("morph_exec_ops_total", "Successful first-run operation executions."),
+		steals:        reg.Counter("morph_exec_steals_total", "Units popped from a non-home shard ring."),
+		parks:         reg.Counter("morph_exec_parks_total", "Spin-budget expiries that put a worker to sleep."),
+		durable:       reg.Counter("morph_engine_durable_batches_total", "Delivered batches whose WAL record was appended first."),
+		walErrors:     reg.Counter("morph_wal_errors_total", "WAL failures that stopped batch logging."),
 		planNS:        reg.Histogram("morph_engine_plan_ns", "Per-batch planning-stage time (ns)."),
 		execNS:        reg.Histogram("morph_engine_exec_ns", "Per-batch execution-phase time (ns)."),
 		commitNS:      reg.Histogram("morph_engine_commit_ns", "Per-batch WAL commit-hook time (ns)."),
 		batchEvents:   reg.Histogram("morph_engine_batch_events", "Input events per sealed batch."),
+		eventLatency:  reg.Histogram("morph_engine_event_latency_ns", "Per-event latency from arrival to post-processing (ns)."),
 	}
-	if reg == nil {
-		return
-	}
+	e.inst.walLastSeq, e.inst.walChainLen = wal.WatermarkGauges(reg)
 	reg.GaugeFunc("morph_ingest_ring_depth", "Approximate submission-ring occupancy.", func() int64 {
 		if p := e.pipe.Load(); p != nil {
 			return int64(p.ring.len())
@@ -151,38 +154,14 @@ func (e *Engine) setupTelemetry() {
 	reg.CounterFunc("morph_engine_overlap_ns_total", "Cumulative time both pipeline stages were busy.", func() int64 {
 		return int64(e.overlap.Stats().Overlap)
 	})
-	reg.GaugeFunc("morph_wal_last_seq", "Highest batch sequence durably appended.", func() int64 {
-		return e.totals.walLastSeq.Load()
-	})
-	reg.GaugeFunc("morph_wal_diff_chain_len", "Incremental snapshot diffs stacked on the current base.", func() int64 {
-		return e.totals.walChainLen.Load()
-	})
 }
 
-// recordBatch folds one delivered batch into the cumulative totals and the
-// registry. Runs on the executor stage (one goroutine), once per
+// recordBatch folds one delivered batch into the registry, writing each
+// fact once. Runs on the executor stage (one goroutine), once per
 // punctuation — never on the per-operation hot path.
 func (e *Engine) recordBatch(res *BatchResult, commitTime time.Duration) {
-	t := &e.totals
-	t.events.Add(int64(res.Events))
-	t.dropped.Add(int64(res.Dropped))
-	t.committed.Add(int64(res.Committed))
-	t.aborted.Add(int64(res.Aborted))
-	t.abortRounds.Add(int64(res.AbortRounds))
-	t.redos.Add(int64(res.Redos))
-	t.opsExecuted.Add(int64(res.OpsExecuted))
-	t.steals.Add(int64(res.Steals))
-	t.parks.Add(int64(res.Parks))
-	t.fusedOps.Add(int64(res.Props.FusedOps))
-	t.planNS.Add(int64(res.PlanElapsed))
-	t.execNS.Add(int64(res.Elapsed))
-	t.commitNS.Add(int64(commitTime))
-	if res.Durable {
-		t.durable.Add(1)
-	}
-
 	in := &e.inst
-	in.eventsPlanned.Add(int64(res.Events - res.Dropped))
+	in.eventsPlanned.Add(int64(res.Events))
 	in.eventsDropped.Add(int64(res.Dropped))
 	in.batchesSealed.Inc()
 	in.txnCommitted.Add(int64(res.Committed))
@@ -190,6 +169,12 @@ func (e *Engine) recordBatch(res *BatchResult, commitTime time.Duration) {
 	in.abortRounds.Add(int64(res.AbortRounds))
 	in.redos.Add(int64(res.Redos))
 	in.fusedOps.Add(int64(res.Props.FusedOps))
+	in.opsExecuted.Add(int64(res.OpsExecuted))
+	in.steals.Add(int64(res.Steals))
+	in.parks.Add(int64(res.Parks))
+	if res.Durable {
+		in.durable.Inc()
+	}
 	in.planNS.Record(int64(res.PlanElapsed))
 	in.execNS.Record(int64(res.Elapsed))
 	if commitTime > 0 {
@@ -198,30 +183,31 @@ func (e *Engine) recordBatch(res *BatchResult, commitTime time.Duration) {
 	in.batchEvents.Record(int64(res.Events))
 }
 
-// PipelineStats assembles the engine's observability surface: the overlap
-// meter reading plus the cumulative per-batch totals. Safe to call from any
+// PipelineStats reads the engine's observability surface off the registry,
+// plus the overlap meter and the ingest ring. Safe to call from any
 // goroutine at any time.
 func (e *Engine) PipelineStats() PipelineStats {
-	t := &e.totals
+	in := &e.inst
 	s := PipelineStats{
 		OverlapStats:   e.overlap.Stats(),
-		Batches:        e.batches.Load(),
-		Events:         t.events.Load(),
-		Dropped:        t.dropped.Load(),
-		Committed:      t.committed.Load(),
-		Aborted:        t.aborted.Load(),
-		AbortRounds:    t.abortRounds.Load(),
-		Redos:          t.redos.Load(),
-		OpsExecuted:    t.opsExecuted.Load(),
-		Steals:         t.steals.Load(),
-		Parks:          t.parks.Load(),
-		FusedOps:       t.fusedOps.Load(),
-		PlanElapsed:    time.Duration(t.planNS.Load()),
-		ExecElapsed:    time.Duration(t.execNS.Load()),
-		CommitElapsed:  time.Duration(t.commitNS.Load()),
-		DurableBatches: t.durable.Load(),
-		WALLastSeq:     t.walLastSeq.Load(),
-		WALDiffChain:   int(t.walChainLen.Load()),
+		Batches:        in.batchesSealed.Value(),
+		Events:         in.eventsPlanned.Value(),
+		Dropped:        in.eventsDropped.Value(),
+		Committed:      in.txnCommitted.Value(),
+		Aborted:        in.txnAborted.Value(),
+		AbortRounds:    in.abortRounds.Value(),
+		Redos:          in.redos.Value(),
+		OpsExecuted:    in.opsExecuted.Value(),
+		Steals:         in.steals.Value(),
+		Parks:          in.parks.Value(),
+		FusedOps:       in.fusedOps.Value(),
+		PlanElapsed:    time.Duration(in.planNS.Snapshot().Sum),
+		ExecElapsed:    time.Duration(in.execNS.Snapshot().Sum),
+		CommitElapsed:  time.Duration(in.commitNS.Snapshot().Sum),
+		DurableBatches: in.durable.Value(),
+		WALLastSeq:     in.walLastSeq.Value(),
+		WALDiffChain:   int(in.walChainLen.Value()),
+		WALErrors:      in.walErrors.Value(),
 	}
 	if p := e.pipe.Load(); p != nil {
 		s.IngestDepth = p.ring.len()

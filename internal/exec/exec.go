@@ -52,9 +52,10 @@ type Config struct {
 	// Breakdown, when non-nil, accumulates the time breakdown of
 	// Section 8.3.1 (useful / sync / explore / abort).
 	Breakdown *metrics.Breakdown
-	// Telemetry, when non-nil, receives the executor's own series — steals,
-	// parks, per-shard unit occupancy — once per batch, at quiescent points
-	// only (Run start/end); the per-operation hot loop never touches it.
+	// Telemetry, when non-nil, receives the per-shard unit occupancy
+	// histogram once per batch, at Run start; the per-operation hot loop
+	// never touches it. Result's counts (steals, parks, ops) are the
+	// caller's to record.
 	Telemetry *telemetry.Registry
 }
 
@@ -220,13 +221,6 @@ func Run(g *tpg.Graph, cfg Config) Result {
 			res.Committed++
 		}
 	}
-	if reg := cfg.Telemetry; reg != nil {
-		// Batch-granular: a handful of registry lookups (idempotent, mutex
-		// on a setup path) and stripe-0 adds, once per exec.Run.
-		reg.Counter("morph_exec_steals_total", "Units popped from a non-home shard ring.").Add(int64(res.Steals))
-		reg.Counter("morph_exec_parks_total", "Spin-budget expiries that put a worker to sleep.").Add(int64(res.Parks))
-		reg.Counter("morph_exec_ops_total", "Successful first-run operation executions.").Add(int64(res.OpsExecuted))
-	}
 	return res
 }
 
@@ -334,9 +328,11 @@ func (ex *executor) runOp(op *txn.Operation, sc *scratch) bool {
 	sc.ctx = txn.Ctx{TS: op.TS(), Blotter: op.Txn.Blotter, Sink: &sc.sink}
 	err := ex.apply(op, sc)
 	if err != nil {
-		op.SetState(txn.ABT) // T4
+		// Record before settling: a worker that sees the operation settled
+		// must also see its failure pending (dfsFinished relies on it).
 		op.Txn.MarkAborted(true)
 		ex.recordFailure(op)
+		op.SetState(txn.ABT) // T4
 		return false
 	}
 	op.SetState(txn.EXE) // T2

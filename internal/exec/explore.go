@@ -177,19 +177,26 @@ func (ex *executor) epochRun(op *txn.Operation, myEpoch int64, wid int) runStatu
 // eagerAbort is the coordinator path of e-abort under non-structured and
 // DFS exploration: the detecting thread drains the failure set and performs
 // rollback while all other threads are held out by the epoch fence. The
+// drain happens under the fence too, so a worker inside the epoch never
+// sees the failure set emptied before the rollback it implies has reset
+// the affected operations (dfsFinished would otherwise let it exit with
+// work about to reappear in its chunk). Reports whether a rollback ran. The
 // caller must not be inside the epoch.
-func (ex *executor) eagerAbort() {
+func (ex *executor) eagerAbort() bool {
 	ex.abortMu.Lock()
-	failed := ex.takeFailed()
-	if len(failed) > 0 {
+	defer ex.abortMu.Unlock()
+	ex.failedMu.Lock()
+	pending := len(ex.failed) > 0
+	ex.failedMu.Unlock()
+	if pending {
 		ex.quiesce(func() {
 			sw := metrics.Start()
 			ex.flushResults()
-			ex.handleAborts(failed)
+			ex.handleAborts(ex.takeFailed())
 			sw.Stop(ex.cfg.Breakdown, metrics.Abort)
 		})
 	}
-	ex.abortMu.Unlock()
+	return pending
 }
 
 // runDFS is structured exploration with depth-first traversal (paper
@@ -238,14 +245,8 @@ func (ex *executor) dfsWorker(id, threads int) {
 		}
 		// Worker 0 doubles as the eager-abort coordinator so failures do
 		// not linger while other threads spin.
-		if id == 0 && ex.cfg.Decision.Abort == sched.EAbort {
-			ex.failedMu.Lock()
-			pending := len(ex.failed) > 0
-			ex.failedMu.Unlock()
-			if pending {
-				ex.eagerAbort()
-				progressed = true
-			}
+		if id == 0 && ex.cfg.Decision.Abort == sched.EAbort && ex.eagerAbort() {
+			progressed = true
 		}
 		if ex.dfsFinished(id) {
 			return

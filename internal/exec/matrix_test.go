@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
+	"morphstream/internal/sched"
 	"morphstream/internal/store"
 	"morphstream/internal/tpg"
 	"morphstream/internal/txn"
@@ -161,6 +163,32 @@ func TestStrategyMatrixSeededWorkloads(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/seed=%d/a=%v", mc.kind, mc.seed, mc.abortPct), func(t *testing.T) {
 			checkMatrixCase(t, mc)
 		})
+	}
+}
+
+// TestDFSEagerAbortNoLostWork repeats the matrix case that used to hang
+// under s-explore(DFS)/e-abort with 4 workers: a worker could find every
+// unit settled and no failure pending, and exit, while another worker's
+// failure — settled before it was recorded, or drained outside the abort
+// fence — was about to reset operations in the exited worker's chunk,
+// leaving them to no one. A run outliving the watchdog is that hang.
+func TestDFSEagerAbortNoLostWork(t *testing.T) {
+	mc := matrixCase{kind: "SL", seed: 3, theta: 0.6, abortPct: 0.3, txns: 120, states: 8}
+	batch := mc.batch()
+	d := sched.Decision{Explore: sched.SExploreDFS, Gran: sched.FSchedule, Abort: sched.EAbort}
+	for it := 0; it < 300; it++ {
+		txns, table := batch.Materialize()
+		g := buildGraphFromTable(txns, table, true)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			Run(g, Config{Decision: d, Threads: 4, Table: table})
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("run %d did not finish: work was left to an exited DFS worker", it)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"morphstream/internal/sched"
 	"morphstream/internal/store"
-	"morphstream/internal/telemetry"
 	"morphstream/internal/tpg"
 )
 
@@ -133,11 +132,9 @@ func (ex *executor) setupShards() {
 		ex.shards[s].units = append(ex.shards[s].units, u)
 	}
 	ex.shardOrder = make([]*sched.Unit, 0, len(ex.units))
-	var occupancy *telemetry.Histogram
-	if ex.cfg.Telemetry != nil {
-		occupancy = ex.cfg.Telemetry.Histogram("morph_exec_shard_units",
-			"Scheduling units homed per shard per batch (ready-ring depth at batch start).")
-	}
+	// Nil registry, nil histogram: RecordW below is then a no-op.
+	occupancy := ex.cfg.Telemetry.Histogram("morph_exec_shard_units",
+		"Scheduling units homed per shard per batch (ready-ring depth at batch start).")
 	for s := range ex.shards {
 		sh := &ex.shards[s]
 		sh.ring = newWorkQueue(len(sh.units))

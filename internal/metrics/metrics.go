@@ -294,8 +294,10 @@ func (m *OverlapMeter) Reset() {
 	m.mu.Unlock()
 }
 
-// LatencyRecorder collects end-to-end event latencies and reports
-// percentiles and CDF points.
+// LatencyRecorder keeps every latency sample and reports exact percentiles:
+// the experiment harness's measuring tool (latency tables, CDF points of
+// Fig. 12b/13b). It grows without bound, so long-running engines record
+// into a bounded telemetry histogram instead (engine.Engine.Latency).
 type LatencyRecorder struct {
 	mu      sync.Mutex
 	samples []time.Duration
@@ -374,17 +376,6 @@ func (l *LatencyRecorder) Percentiles(ps ...float64) []time.Duration {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	for i, p := range ps {
 		out[i] = s[percentileIndex(p, len(s))]
-	}
-	return out
-}
-
-// CDF returns (latency, cumulative percent) pairs at the given percentiles,
-// the series plotted in Fig. 12b and 13b.
-func (l *LatencyRecorder) CDF(percentiles []float64) [][2]float64 {
-	out := make([][2]float64, 0, len(percentiles))
-	for _, p := range percentiles {
-		d := l.Percentile(p)
-		out = append(out, [2]float64{float64(d.Milliseconds()), p})
 	}
 	return out
 }

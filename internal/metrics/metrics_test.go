@@ -88,10 +88,6 @@ func TestLatencyPercentiles(t *testing.T) {
 	if l.Count() != 100 {
 		t.Fatalf("count = %d", l.Count())
 	}
-	cdf := l.CDF([]float64{50, 99})
-	if len(cdf) != 2 || cdf[0][1] != 50 || cdf[1][1] != 99 {
-		t.Fatalf("cdf = %v", cdf)
-	}
 	l.RecordN(time.Second, 5)
 	if l.Count() != 105 {
 		t.Fatalf("count after RecordN = %d", l.Count())

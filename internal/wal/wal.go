@@ -131,9 +131,10 @@ type Options struct {
 	// 0 uses DefaultMaxDiffChain.
 	MaxDiffChain int
 	// Registry, when non-nil, receives the log's series: appends and bytes,
-	// fsync latency, snapshot base/diff counts, and replay statistics. All
-	// recordings happen on the single-writer append/snapshot path or during
-	// recovery — never concurrently.
+	// fsync latency, snapshot base/diff counts, replay statistics, and the
+	// watermark gauges (WatermarkGauges). All recordings happen on the
+	// single-writer append/snapshot path or during recovery — never
+	// concurrently.
 	Registry *telemetry.Registry
 }
 
@@ -190,6 +191,24 @@ type walInstruments struct {
 	snapDiff      *telemetry.Counter
 	replayRecords *telemetry.Counter
 	replaySkipped *telemetry.Counter
+	lastSeq       *telemetry.Gauge
+	chainLen      *telemetry.Gauge
+}
+
+// WatermarkGauges returns the log's watermark series on reg: the highest
+// batch sequence appended or recovered, and the number of incremental
+// snapshot diffs stacked on the current base. A Log opened with
+// Options.Registry is their only writer; readers (the engine's
+// PipelineStats) share the same instruments. Nil registry, nil gauges.
+func WatermarkGauges(reg *telemetry.Registry) (lastSeq, chainLen *telemetry.Gauge) {
+	return reg.Gauge("morph_wal_last_seq", "Highest batch sequence durably appended."),
+		reg.Gauge("morph_wal_diff_chain_len", "Incremental snapshot diffs stacked on the current base.")
+}
+
+// publish refreshes the watermark gauges after the log's position moved.
+func (l *Log) publish() {
+	l.inst.lastSeq.Set(l.lastSeq)
+	l.inst.chainLen.Set(int64(l.chainLen))
 }
 
 // syncTimed fsyncs the sink, recording latency when instrumented. The clock
@@ -485,6 +504,7 @@ func Open(sink Sink, opts Options) (*Log, *Recovery, error) {
 			replayRecords: reg.Counter("morph_wal_replay_records_total", "Records replayed during recovery."),
 			replaySkipped: reg.Counter("morph_wal_replay_skipped_total", "Replay records skipped for Seq idempotence."),
 		}
+		l.inst.lastSeq, l.inst.chainLen = WatermarkGauges(reg)
 	}
 	rec := &Recovery{SnapshotSeq: -1, BaseSeq: -1, log: l}
 
@@ -662,6 +682,7 @@ func (r *Recovery) finish(closedCur bool) error {
 		r.log.maxTS = r.MaxTS
 	}
 	r.log.ready = true
+	r.log.publish()
 	return io.EOF
 }
 
@@ -689,6 +710,7 @@ func (l *Log) Append(r Record) error {
 	if r.MaxTS > l.maxTS {
 		l.maxTS = r.MaxTS
 	}
+	l.publish()
 	switch l.policy {
 	case SyncPunctuation:
 		return l.syncTimed()
@@ -741,6 +763,7 @@ func (l *Log) Snapshot(seq int64, maxTS uint64, shards [][]store.Entry) error {
 	l.chainLen = 0
 	l.snapSeq = seq
 	l.inst.snapBase.Inc()
+	l.publish()
 	return nil
 }
 
@@ -770,6 +793,7 @@ func (l *Log) SnapshotDiff(seq int64, maxTS uint64, shards [][]store.Entry) erro
 	l.chainLen++
 	l.snapSeq = seq
 	l.inst.snapDiff.Inc()
+	l.publish()
 	return nil
 }
 

@@ -198,10 +198,11 @@ type (
 	BatchResult = engine.BatchResult
 	// Option customises an Engine beyond the plain Config fields.
 	Option = engine.Option
-	// PipelineStats is one consistent reading of the engine's pipeline
-	// counters (Engine.PipelineStats): the plan/execute overlap meter,
-	// cumulative batch/event/commit/abort totals, stage latencies, steal
-	// and park counts, ingest-ring occupancy, and WAL progress.
+	// PipelineStats is one reading of the engine's pipeline counters
+	// (Engine.PipelineStats), a view over its telemetry registry: the
+	// plan/execute overlap meter, cumulative batch/event/commit/abort
+	// totals, stage times, steal and park counts, ingest-ring occupancy,
+	// and WAL progress and errors.
 	PipelineStats = engine.PipelineStats
 )
 
@@ -289,11 +290,11 @@ func NewWALFileSink(dir string) (WALSink, error) { return wal.NewFileSink(dir) }
 
 // Telemetry (lock-free metrics registry + admin HTTP endpoint). A registry
 // holds sharded atomic instruments the engine, executor, WAL and RPC front
-// door update on their hot paths; telemetry.Serve (or the -admin flag of
-// cmd/morphserve and cmd/morphbench) exposes it over HTTP as Prometheus
-// text (/metrics), a JSON snapshot (/varz, /statusz), a health probe
-// (/healthz), and net/http/pprof. A nil registry means every instrument
-// update is a single predictable branch — telemetry is off by default.
+// door update; it is the engine's only accounting store (an engine given
+// none keeps a private one behind PipelineStats and Latency).
+// telemetry.Serve (or the -admin flag of cmd/morphserve and cmd/morphbench)
+// exposes it over HTTP as Prometheus text (/metrics), a JSON snapshot
+// (/varz, /statusz), a health probe (/healthz), and net/http/pprof.
 type (
 	// TelemetryRegistry is a set of named lock-free instruments
 	// (counters, gauges, histograms) with Prometheus and JSON exposition.
@@ -307,11 +308,13 @@ type (
 // in-process via its WriteProm/WriteJSON methods).
 func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
 
-// WithTelemetry instruments the engine (and the executor and WAL under it)
-// with the registry's counters, gauges and histograms. Instruments update
-// at batch granularity — punctuation quiescent points — plus per-ingest
-// ring occupancy, so the per-event hot path stays untouched. A nil registry
-// (or no option) disables telemetry entirely.
+// WithTelemetry keeps the engine's accounting (and the executor's and
+// WAL's under it) in reg instead of a private registry, so it can be
+// served or scraped. Instruments update at batch granularity — punctuation
+// quiescent points — plus one latency-histogram record per executed event.
+// Engines sharing reg share its totals: their PipelineStats and Latency
+// report the registry-wide figures, as /metrics does. A nil registry (or
+// no option) keeps the private one.
 func WithTelemetry(reg *TelemetryRegistry) Option { return engine.WithTelemetry(reg) }
 
 // ServeTelemetry starts the admin HTTP server for reg on addr (e.g.
