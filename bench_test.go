@@ -314,13 +314,13 @@ func BenchmarkTPGFinalize(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			builder := tpg.NewBuilder(table.Keys)
+			builder := tpg.NewBuilderIDs(table.KeyIDs)
 			builder.AddTxns(txns, 2)
 			builder.Finalize(2)
 		}
 	})
 	b.Run("steady", func(b *testing.B) {
-		builder := tpg.NewBuilder(table.Keys)
+		builder := tpg.NewBuilderIDs(table.KeyIDs)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -340,7 +340,7 @@ func BenchmarkBuildUnits(b *testing.B) {
 	cfg.ComplexityUS = 0
 	batch := workload.GS(cfg)
 	txns, table := batch.Materialize()
-	builder := tpg.NewBuilder(table.Keys)
+	builder := tpg.NewBuilderIDs(table.KeyIDs)
 	builder.AddTxns(txns, 2)
 	graph := builder.Finalize(2)
 	for _, gran := range []sched.Granularity{sched.FSchedule, sched.CSchedule} {
@@ -364,7 +364,7 @@ func BenchmarkTPGConstruction(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		txns, table := batch.Materialize()
-		builder := tpg.NewBuilder(table.Keys)
+		builder := tpg.NewBuilderIDs(table.KeyIDs)
 		builder.AddTxns(txns, 2)
 		builder.Finalize(2)
 	}
@@ -386,7 +386,7 @@ func BenchmarkExecStrategies(b *testing.B) {
 				b.Run(d.String(), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						txns, table := batch.Materialize()
-						builder := tpg.NewBuilder(table.Keys)
+						builder := tpg.NewBuilderIDs(table.KeyIDs)
 						builder.AddTxns(txns, 2)
 						graph := builder.Finalize(2)
 						exec.Run(graph, exec.Config{Decision: d, Threads: 2, Table: table})
@@ -419,7 +419,7 @@ func benchContendedRun(b *testing.B, batch *workload.Batch, d sched.Decision, sh
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		txns, table := batch.Materialize()
-		builder := tpg.NewBuilder(table.Keys)
+		builder := tpg.NewBuilderIDs(table.KeyIDs)
 		builder.AddTxns(txns, 2)
 		graph := builder.Finalize(2)
 		b.StartTimer()
@@ -695,7 +695,7 @@ func BenchmarkTPGConstructionWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				txns, table := batch.Materialize()
-				builder := tpg.NewBuilder(table.Keys)
+				builder := tpg.NewBuilderIDs(table.KeyIDs)
 				builder.AddTxns(txns, workers)
 				builder.Finalize(workers)
 			}
@@ -717,7 +717,7 @@ func BenchmarkNDFanOut(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				txns, table := batch.Materialize()
-				builder := tpg.NewBuilder(table.Keys)
+				builder := tpg.NewBuilderIDs(table.KeyIDs)
 				builder.AddTxns(txns, 2)
 				builder.Finalize(2)
 			}
@@ -766,7 +766,7 @@ func BenchmarkHotKeyFusion(b *testing.B) {
 				b.StopTimer()
 				txns, table := batch.Materialize()
 				b.StartTimer()
-				builder := tpg.NewBuilder(table.Keys).SetFusion(fusion)
+				builder := tpg.NewBuilderIDs(table.KeyIDs).SetFusion(fusion)
 				builder.AddTxns(txns, 2)
 				graph := builder.Finalize(2)
 				exec.Run(graph, exec.Config{Decision: d, Threads: 4, Table: table})

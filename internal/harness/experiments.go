@@ -10,6 +10,7 @@ import (
 	"morphstream/internal/baseline/spe"
 	"morphstream/internal/baseline/sstore"
 	"morphstream/internal/baseline/tstream"
+	"morphstream/internal/engine"
 	"morphstream/internal/metrics"
 	"morphstream/internal/sched"
 	"morphstream/internal/workload"
@@ -133,13 +134,13 @@ func Fig13(scale Scale, threads int) *Report {
 
 	plain1 := sched.Decision{Explore: sched.NSExplore, Gran: sched.CSchedule, Abort: sched.LAbort}
 	plain2 := sched.Decision{Explore: sched.SExploreBFS, Gran: sched.CSchedule, Abort: sched.EAbort}
-	nested := &MorphSystem{
-		Label: "Nested",
-		GroupDecisions: map[int]sched.Decision{
+	nested := &MorphSystem{Label: "Nested", Config: engine.Config{
+		Cleanup: true,
+		GroupStrategies: map[int]sched.Decision{
 			0: plain1, // skewed, aborty group: ns-explore + l-abort
 			1: plain2, // uniform, clean group: s-explore + e-abort
 		},
-	}
+	}}
 	systems := []baseline.System{
 		nested,
 		NewMorphPinned(plain1, "Plain-1"),
@@ -272,7 +273,8 @@ func Fig16b(scale Scale, threads int) *Report {
 		Seed: 17, ComplexityUS: 0,
 	}
 	batches := workload.Dynamic(base, workload.DynamicPhases(2))
-	systems := []baseline.System{NewMorph(), tstream.New(), sstore.New()}
+	// The zero MorphSystem config runs the engine with Cleanup off.
+	systems := []baseline.System{&MorphSystem{}, tstream.New(), sstore.New()}
 
 	r := &Report{
 		Title:  "Fig.16b — Memory footprint over time (no clean-up)",
@@ -328,18 +330,12 @@ func Fig17(scale Scale, threads int) *Report {
 		defer debug.SetMemoryLimit(old)
 		runtime.GC()
 		sampler := metrics.StartMemSampler(time.Millisecond)
-		morph := NewMorph()
+		morph := &MorphSystem{Config: engine.Config{Cleanup: cleanup}}
 		events := 0
 		start := time.Now()
 		for _, db := range batches {
 			morph.Run(db.Batch, threads, nil)
 			events += len(db.Specs)
-			if cleanup {
-				// The adapter materialises fresh tables per batch; the
-				// clean-up cost is modelled by forcing a GC cycle, which
-				// is what dropping the TPG + versions triggers.
-				runtime.GC()
-			}
 		}
 		elapsed := time.Since(start)
 		samples := sampler.Stop()

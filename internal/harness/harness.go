@@ -11,36 +11,41 @@ import (
 	"time"
 
 	"morphstream/internal/baseline"
-	"morphstream/internal/exec"
+	"morphstream/internal/engine"
 	"morphstream/internal/metrics"
 	"morphstream/internal/sched"
-	"morphstream/internal/tpg"
-	"morphstream/internal/txn"
 	"morphstream/internal/workload"
 )
 
-// MorphSystem adapts the MorphStream planning/scheduling/execution stack to
-// the baseline.System interface so it can be benchmarked side by side.
+// MorphSystem adapts the MorphStream engine to the baseline.System
+// interface so it can be benchmarked side by side: every Run is one
+// punctuation through engine.Engine's Submit/Punctuate facade. One engine
+// serves every Run at a given thread count, so the decision model's
+// cross-batch profile (abort ratio, measured UDF complexity) carries from
+// batch to batch as in a long-running stream.
 type MorphSystem struct {
-	// Decision pins a scheduling strategy; nil enables the adaptive
-	// decision model with cross-batch profiling.
-	Decision *sched.Decision
-	// GroupDecisions pins per-group strategies (nested scheduling).
-	GroupDecisions map[int]sched.Decision
+	// Config configures the engine: Strategy pins a scheduling decision
+	// (nil enables the adaptive decision model), GroupStrategies pins
+	// per-group decisions (nested scheduling) and Cleanup truncates the
+	// multi-version table after every punctuation. Run sets Threads and
+	// GroupFn (each spec's Group); set Config before the first Run.
+	Config engine.Config
 	// Label overrides the reported name.
 	Label string
 
-	lastAbort      float64
-	lastComplexity time.Duration
-	lastDecision   sched.Decision
+	eng          *engine.Engine
+	threads      int
+	lastDecision sched.Decision
 }
 
-// NewMorph returns the adaptive MorphStream system.
-func NewMorph() *MorphSystem { return &MorphSystem{} }
+// NewMorph returns the adaptive MorphStream system with clean-up on.
+func NewMorph() *MorphSystem {
+	return &MorphSystem{Config: engine.Config{Cleanup: true}}
+}
 
 // NewMorphPinned returns MorphStream locked to one scheduling decision.
 func NewMorphPinned(d sched.Decision, label string) *MorphSystem {
-	return &MorphSystem{Decision: &d, Label: label}
+	return &MorphSystem{Config: engine.Config{Strategy: &d, Cleanup: true}, Label: label}
 }
 
 // Name implements baseline.System.
@@ -48,119 +53,60 @@ func (m *MorphSystem) Name() string {
 	if m.Label != "" {
 		return m.Label
 	}
-	if m.Decision != nil {
-		return "MorphStream(" + m.Decision.String() + ")"
+	if m.Config.Strategy != nil {
+		return "MorphStream(" + m.Config.Strategy.String() + ")"
 	}
 	return "MorphStream"
 }
 
-// LastDecision reports the decision taken for the most recent batch.
+// LastDecision reports the decision taken for the most recent batch (the
+// lowest-numbered group's, when the batch has several).
 func (m *MorphSystem) LastDecision() sched.Decision { return m.lastDecision }
 
-// Run implements baseline.System: plan (two-phase TPG construction),
-// schedule (decision model or pinned strategy, per group), execute.
+// Run implements baseline.System: it preloads the batch's initial state,
+// submits every transaction and punctuates once, so planning, the
+// scheduling decision and execution all happen inside the engine.
 func (m *MorphSystem) Run(b *workload.Batch, threads int, bd *metrics.Breakdown) baseline.Result {
 	if threads < 1 {
 		threads = 1
 	}
-	txns, table := b.Materialize()
-
-	// Partition transactions by scheduling group (disjoint key spaces).
-	groups := map[int][]int{}
-	for i, s := range b.Specs {
-		groups[s.Group] = append(groups[s.Group], i)
+	if m.eng == nil || m.threads != threads {
+		cfg := m.Config
+		cfg.Threads = threads
+		cfg.GroupFn = func(data any) int { return data.(workload.TxnSpec).Group }
+		m.eng, m.threads = engine.New(cfg), threads
+	}
+	e := m.eng
+	preloadEngine(e, b)
+	categories := metrics.Categories()
+	before := make([]time.Duration, len(categories))
+	for i, c := range categories {
+		before[i] = e.Breakdown.Get(c)
 	}
 
-	type job struct {
-		g *tpg.Graph
-		d sched.Decision
+	op := specEngineOp()
+	for _, s := range b.Specs {
+		_ = e.Submit(op, &engine.Event{Data: s})
 	}
-	var jobs []job
-	for gid, idxs := range groups {
-		sw := metrics.Start()
-		builder := tpg.NewBuilder(table.Keys)
-		batchTxns := make([]*txn.Transaction, 0, len(idxs))
-		for _, i := range idxs {
-			batchTxns = append(batchTxns, txns[i])
-		}
-		builder.AddTxns(batchTxns, threads)
-		g := builder.Finalize(threads)
-		sw.Stop(bd, metrics.Construct)
+	br := e.Punctuate()
 
-		d := m.decide(gid, g)
-		jobs = append(jobs, job{g: g, d: d})
-		m.lastDecision = d
+	for i, c := range categories {
+		bd.Add(c, e.Breakdown.Get(c)-before[i])
 	}
-
-	// Align the table's shards to the executors' shard map before workers
-	// start (same quiescent point as the engine's per-punctuation Align).
-	graphs := make([]*tpg.Graph, len(jobs))
-	for i, j := range jobs {
-		graphs[i] = j.g
-	}
-	exec.AlignTable(table, 0, threads, graphs...)
-
-	perJob := threads
-	if len(jobs) > 1 {
-		perJob = threads / len(jobs)
-		if perJob < 1 {
-			perJob = 1
+	lowest := -1
+	for id, d := range br.Decisions {
+		if lowest < 0 || id < lowest {
+			lowest, m.lastDecision = id, d
 		}
 	}
-	results := make([]exec.Result, len(jobs))
-	done := make(chan int, len(jobs))
-	for i, j := range jobs {
-		go func(i int, j job) {
-			results[i] = exec.Run(j.g, exec.Config{
-				Decision: j.d, Threads: perJob, Table: table, Breakdown: bd,
-			})
-			done <- i
-		}(i, j)
-	}
-	for range jobs {
-		<-done
-	}
-
-	var res baseline.Result
-	res.Attempts = 1
-	for _, r := range results {
-		res.Committed += r.Committed
-		res.Aborted += r.Aborted
-	}
-	if total := res.Committed + res.Aborted; total > 0 {
-		m.lastAbort = float64(res.Aborted) / float64(total)
-	}
-	res.FinalState = make(map[workload.Key]int64, table.Len())
-	for k, v := range table.Snapshot() {
+	res := baseline.Result{Committed: br.Committed, Aborted: br.Aborted, Attempts: 1}
+	snap := e.Table().Snapshot()
+	res.FinalState = make(map[workload.Key]int64, len(snap))
+	for k, v := range snap {
 		res.FinalState[k] = v.(int64)
 	}
 	return res
 }
-
-func (m *MorphSystem) decide(gid int, g *tpg.Graph) sched.Decision {
-	if d, ok := m.GroupDecisions[gid]; ok {
-		return d
-	}
-	if m.Decision != nil {
-		return *m.Decision
-	}
-	comp := m.lastComplexity
-	if comp == 0 {
-		comp = 10 * time.Microsecond
-	}
-	in := sched.ModelInputs{Props: g.Props, Complexity: comp, AbortRatio: m.lastAbort}
-	td, pd := float64(g.Props.NumTD), float64(g.Props.NumPD)
-	ops := float64(g.Props.NumOps)
-	if ops > 0 && td/ops >= sched.HighTDPerOp && pd/ops <= sched.LowPDPerOp {
-		_, cyclic := sched.BuildUnits(g, sched.CSchedule)
-		in.Cyclic = cyclic
-	}
-	return sched.Decide(in)
-}
-
-// SetProfiledComplexity feeds the decision model's C input (measured by
-// callers that track the Useful bucket).
-func (m *MorphSystem) SetProfiledComplexity(c time.Duration) { m.lastComplexity = c }
 
 // Report is one figure/table rendered as rows of labelled cells.
 type Report struct {

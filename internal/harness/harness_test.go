@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"morphstream/internal/baseline"
+	"morphstream/internal/engine"
 	"morphstream/internal/exec"
 	"morphstream/internal/sched"
 	"morphstream/internal/workload"
@@ -11,62 +14,80 @@ import (
 
 const testScale = Scale(0.02)
 
-func TestMorphSystemMatchesSerialOracle(t *testing.T) {
-	c := workload.DefaultSL()
-	c.Txns = 300
-	c.StateSize = 64
-	c.ComplexityUS = 0
-	c.AbortRatio = 0.05
-	c.Seed = 31
-	c.InitialBalance = 1 << 40
-	b := workload.SL(c)
-
+// checkOracle runs b on the serial oracle and requires res to agree on the
+// committed and aborted counts and on every key's final value.
+func checkOracle(t *testing.T, label string, b *workload.Batch, res baseline.Result) {
+	t.Helper()
 	oTxns, oTable := b.Materialize()
-	exec.Serial(oTxns, oTable)
-	want := oTable.Snapshot()
-
-	for _, sys := range []*MorphSystem{
-		NewMorph(),
-		NewMorphPinned(sched.Decision{Explore: sched.NSExplore, Gran: sched.CSchedule, Abort: sched.LAbort}, ""),
-	} {
-		res := sys.Run(b, 4, nil)
-		for k, v := range want {
-			if res.FinalState[k] != v.(int64) {
-				t.Fatalf("%s diverges from oracle at %s: %d vs %v", sys.Name(), k, res.FinalState[k], v)
-			}
+	oracle := exec.Serial(oTxns, oTable)
+	if res.Committed != oracle.Committed || res.Aborted != oracle.Aborted {
+		t.Fatalf("%s: committed/aborted = %d/%d; oracle %d/%d",
+			label, res.Committed, res.Aborted, oracle.Committed, oracle.Aborted)
+	}
+	for k, v := range oTable.Snapshot() {
+		if got, ok := res.FinalState[k]; !ok || got != v.(int64) {
+			t.Fatalf("%s: state[%s] = %d (present %v); oracle %v", label, k, got, ok, v)
 		}
 	}
 }
 
-func TestMorphSystemNestedGroups(t *testing.T) {
-	cfg := workload.DefaultTPGroups()
-	cfg.Txns = 400
-	cfg.StateSize = 64
-	cfg.ComplexityUS = 0
-	b := workload.TP(cfg)
-
-	nested := &MorphSystem{
-		Label: "Nested",
-		GroupDecisions: map[int]sched.Decision{
-			0: {Explore: sched.NSExplore, Gran: sched.CSchedule, Abort: sched.LAbort},
-			1: {Explore: sched.SExploreBFS, Gran: sched.CSchedule, Abort: sched.EAbort},
-		},
+// TestMorphSystemMatchesSerialOracle runs every generator the figures use
+// through the engine-backed MorphSystem — adaptive model, two pinned
+// decisions, and nested per-group strategies on the two-group TP — and
+// compares each batch against the serial oracle. The dynamic case streams
+// all of its batches through one system, as Fig. 12 does: the engine (and
+// its decision profile) persists across them, and each batch must still
+// match the oracle run from that batch's initial state.
+func TestMorphSystemMatchesSerialOracle(t *testing.T) {
+	base := workload.Config{
+		Txns: 300, StateSize: 64, Theta: 0.6, AbortRatio: 0.05,
+		ComplexityUS: 0, Seed: 31, MultiRatio: 0.5, Length: 2,
+		InitialBalance: 1 << 40,
 	}
-	res := nested.Run(b, 2, nil)
-	if res.Committed+res.Aborted != 400 {
-		t.Fatalf("accounting: %+v", res)
+	sl := base
+	sl.Theta = 0.2
+	tp := workload.DefaultTPGroups()
+	tp.Txns, tp.StateSize, tp.ComplexityUS, tp.Seed = 400, 64, 0, 33
+	var dynamic []*workload.Batch
+	for _, db := range workload.Dynamic(workload.Config{Txns: 200, StateSize: 64, Seed: 12},
+		workload.DynamicPhases(2)) {
+		dynamic = append(dynamic, db.Batch)
 	}
-
-	// Same batch through the serial oracle: abort counts of forced-abort
-	// transactions must agree (TP aborts are forced, state-independent).
-	oTxns, oTable := b.Materialize()
-	oracle := exec.Serial(oTxns, oTable)
-	if res.Aborted != oracle.Aborted {
-		t.Fatalf("nested aborted = %d; oracle %d", res.Aborted, oracle.Aborted)
+	cases := []struct {
+		name    string
+		batches []*workload.Batch
+	}{
+		{"SL", []*workload.Batch{workload.SL(sl)}},
+		{"GS", []*workload.Batch{workload.GS(base)}},
+		{"GSND", []*workload.Batch{workload.GSND(workload.GSNDConfig{Config: base, NDAccesses: 24})}},
+		{"GSWindow", []*workload.Batch{workload.GSWindow(workload.GSWindowConfig{
+			Config: base, WindowSize: 50, ReadEvery: 40, ReadKeys: 4,
+		})}},
+		{"TP", []*workload.Batch{workload.TP(tp)}},
+		{"Dynamic", dynamic},
 	}
-	for k, v := range oTable.Snapshot() {
-		if res.FinalState[k] != v.(int64) {
-			t.Fatalf("nested state diverges at %s", k)
+	pinA := sched.Decision{Explore: sched.NSExplore, Gran: sched.CSchedule, Abort: sched.LAbort}
+	pinB := sched.Decision{Explore: sched.SExploreBFS, Gran: sched.FSchedule, Abort: sched.EAbort}
+	for _, c := range cases {
+		// Fresh systems per case: a new engine's timestamps start where
+		// the generators' do, so ND keys resolve as in the oracle.
+		systems := []*MorphSystem{
+			NewMorphPinned(pinA, "pinned-ns-c-l"),
+			NewMorphPinned(pinB, "pinned-bfs-f-e"),
+			{Label: "adaptive", Config: engine.Config{Cleanup: true}},
+		}
+		if c.name == "TP" {
+			systems = append(systems, &MorphSystem{Label: "nested", Config: engine.Config{
+				Cleanup:         true,
+				GroupStrategies: map[int]sched.Decision{0: pinA, 1: pinB},
+			}})
+		}
+		for _, sys := range systems {
+			t.Run(c.name+"/"+sys.Name(), func(t *testing.T) {
+				for i, b := range c.batches {
+					checkOracle(t, fmt.Sprintf("batch %d", i), b, sys.Run(b, 4, nil))
+				}
+			})
 		}
 	}
 }
@@ -158,14 +179,18 @@ func TestDynamicExperimentsRun(t *testing.T) {
 	}
 }
 
-// TestPipelineOverlapExperiment checks the pipelined-vs-synchronous
-// comparison runs at tiny scale, processes every event in both modes, and
-// actually measures overlap.
+// TestPipelineOverlapExperiment checks that the pipelined lifecycle and
+// the synchronous facade commit the same transactions of one stream, and
+// that the pipeline's overlap meter measures both stages.
 func TestPipelineOverlapExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	b, batchSize := pipelineWorkload(testScale)
+	cfg := workload.DefaultGS()
+	cfg.Txns = testScale.txns(40960)
+	cfg.StateSize = testScale.states(4096)
+	cfg.ComplexityUS = 1
+	b, batchSize := workload.GS(cfg), testScale.txns(4096)
 	sc, _ := RunSynchronousBaseline(b, batchSize, 2)
 	pc, _, st := RunPipelined(b, batchSize, 2)
 	if sc != pc {
@@ -176,14 +201,5 @@ func TestPipelineOverlapExperiment(t *testing.T) {
 	}
 	if st.PlanBusy <= 0 || st.ExecBusy <= 0 {
 		t.Fatalf("overlap meter empty: %+v", st)
-	}
-	r := PipelineOverlap(testScale, 2)
-	if len(r.Rows) != 2 {
-		t.Fatalf("report rows = %d; want 2\n%s", len(r.Rows), r)
-	}
-	for i, row := range r.Rows {
-		if len(row) != len(r.Header) {
-			t.Fatalf("row %d has %d cells; header has %d", i, len(row), len(r.Header))
-		}
 	}
 }

@@ -11,12 +11,11 @@ import (
 	"morphstream/internal/workload"
 )
 
-// This file benchmarks the engine's streaming lifecycle against its
-// batch-synchronous facade on identical canonical workloads: the pipelined
-// Start/Ingest/Drain path plans batch N+1 while batch N executes, so its
-// wall-clock per punctuation should approach max(plan, execute) instead of
-// plan + execute. The report quantifies exactly that with the engine's
-// plan/execute overlap meter.
+// This file drives canonical workload streams through the engine: the
+// specEngineOp/preloadEngine adapters MorphSystem runs every figure on, and
+// whole-stream runs over the batch-synchronous facade and the pipelined
+// Start/Ingest/Drain lifecycle (with and without the punctuation-delta
+// WAL), which bench_test.go's pipelined benchmarks time.
 
 // specEngineOp adapts a canonical workload spec stream to the engine's
 // three-step operator model (event payload = workload.TxnSpec).
@@ -38,18 +37,6 @@ func preloadEngine(e *engine.Engine, b *workload.Batch) {
 	for k, v := range b.State {
 		e.Table().Preload(k, v)
 	}
-}
-
-// pipelineWorkload is the GS-shaped stream both modes process: enough UDF
-// weight that execution has real cost, enough transactions that planning
-// does too.
-func pipelineWorkload(scale Scale) (*workload.Batch, int) {
-	cfg := workload.DefaultGS()
-	cfg.Txns = scale.txns(40960)
-	cfg.StateSize = scale.states(4096)
-	cfg.ComplexityUS = 1
-	batchSize := scale.txns(4096)
-	return workload.GS(cfg), batchSize
 }
 
 // RunSynchronousBaseline drives the stream through Submit/Punctuate and
@@ -132,76 +119,4 @@ func RunPipelinedDurable(b *workload.Batch, batchSize, threads int, dir string, 
 	}
 	<-done
 	return committed, time.Since(start), e.PipelineStats()
-}
-
-// WALOverhead compares the pipelined lifecycle with durability off and on
-// (per-punctuation fsync, the default policy) on the same workload: the cost
-// of "commit information, not traffic" at the quiescent barrier.
-func WALOverhead(scale Scale, threads int, dir string) *Report {
-	b, batchSize := pipelineWorkload(scale)
-	r := &Report{
-		Title:  "Punctuation-delta WAL: durability overhead",
-		Header: []string{"mode", "events", "committed", "elapsed", "thr(k/s)", "overhead"},
-	}
-
-	pc, pe, _ := RunPipelined(b, batchSize, threads)
-	r.Rows = append(r.Rows, []string{
-		"pipelined", fmt.Sprint(len(b.Specs)), fmt.Sprint(pc),
-		pe.Round(time.Millisecond).String(), kps(len(b.Specs), pe), "-",
-	})
-
-	dc, de, _ := RunPipelinedDurable(b, batchSize, threads, dir, wal.SyncPunctuation)
-	overhead := "-"
-	if pe > 0 {
-		overhead = fmt.Sprintf("%+.1f%%", 100*(float64(de)/float64(pe)-1))
-	}
-	r.Rows = append(r.Rows, []string{
-		"pipelined+wal", fmt.Sprint(len(b.Specs)), fmt.Sprint(dc),
-		de.Round(time.Millisecond).String(), kps(len(b.Specs), de), overhead,
-	})
-
-	r.Notes = append(r.Notes,
-		"wal mode appends one checksummed net-delta record per punctuation (group fsync) and snapshots the table every "+fmt.Sprint(engine.DefaultSnapshotEvery)+" punctuations",
-		"the record is the batch's final version per key, swept shard-parallel from the aligned arena table at the quiescent barrier",
-		fmt.Sprintf("punctuation: every %d events; threads=%d; wal dir: %s", batchSize, threads, dir),
-	)
-	return r
-}
-
-// PipelineOverlap compares the batch-synchronous facade with the pipelined
-// lifecycle on the same workload and reports throughput plus the
-// plan/execute overlap breakdown.
-func PipelineOverlap(scale Scale, threads int) *Report {
-	b, batchSize := pipelineWorkload(scale)
-	r := &Report{
-		Title:  "Pipelined streaming lifecycle: plan/execute overlap",
-		Header: []string{"mode", "events", "committed", "elapsed", "thr(k/s)", "plan-busy", "exec-busy", "overlap", "overlap/exec"},
-	}
-
-	sc, se := RunSynchronousBaseline(b, batchSize, threads)
-	r.Rows = append(r.Rows, []string{
-		"synchronous", fmt.Sprint(len(b.Specs)), fmt.Sprint(sc),
-		se.Round(time.Millisecond).String(), kps(len(b.Specs), se),
-		"-", "-", "-", "-",
-	})
-
-	pc, pe, st := RunPipelined(b, batchSize, threads)
-	ratio := "-"
-	if st.ExecBusy > 0 {
-		ratio = fmt.Sprintf("%.0f%%", 100*float64(st.Overlap)/float64(st.ExecBusy))
-	}
-	r.Rows = append(r.Rows, []string{
-		"pipelined", fmt.Sprint(len(b.Specs)), fmt.Sprint(pc),
-		pe.Round(time.Millisecond).String(), kps(len(b.Specs), pe),
-		st.PlanBusy.Round(time.Millisecond).String(),
-		st.ExecBusy.Round(time.Millisecond).String(),
-		st.Overlap.Round(time.Millisecond).String(), ratio,
-	})
-
-	r.Notes = append(r.Notes,
-		"paper shape: the pipeline hides planning behind execution, so pipelined wall-clock approaches max(plan, execute) per batch instead of their sum",
-		"overlap/exec is the share of execution time during which batch N+1 was being planned concurrently",
-		fmt.Sprintf("punctuation: every %d events; threads=%d; single-core machines still show overlap, but wall-clock gains need real parallelism", batchSize, threads),
-	)
-	return r
 }

@@ -15,10 +15,7 @@ import (
 
 // This file benchmarks the framed RPC front door (internal/rpcserve): N
 // concurrent client connections flood the demo ledger operator over
-// loopback TCP and every event's receipt round-trip time is recorded. The
-// in-process row runs the same event stream straight into the engine, so
-// the delta is the cost of the wire: framing, gob, the kernel socket path,
-// and the per-connection receipt fan-out.
+// loopback TCP and every event's receipt round-trip time is recorded.
 
 // ServeFloodResult is one flood run's measurement.
 type ServeFloodResult struct {
@@ -187,80 +184,4 @@ func serveFloodClient(addr string, ops []any, res *ServeFloodResult, mu *sync.Mu
 	}
 	<-done
 	return consumeErr
-}
-
-// ServeFloodInProcess runs the identical event stream straight into an
-// engine (no network, no codec) as the comparison baseline.
-func ServeFloodInProcess(conns, events, span int, balance int64, threads int) (*ServeFloodResult, error) {
-	eng := engine.New(engine.Config{
-		Threads:        threads,
-		Cleanup:        true,
-		PunctuateEvery: 4096,
-	}, engine.WithResultSink(func(*engine.BatchResult) {}))
-	rpcserve.PreloadAccounts(eng.Table(), conns*span, balance)
-	op := rpcserve.LedgerOperator()
-	ops := serveFloodOps(conns, events, span, balance)
-	if err := eng.Start(context.Background()); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := range ops {
-		wg.Add(1)
-		go func(list []any) {
-			defer wg.Done()
-			for _, o := range list {
-				_ = eng.Ingest(op, &engine.Event{Data: o})
-			}
-		}(ops[c])
-	}
-	wg.Wait()
-	if err := eng.Close(); err != nil {
-		return nil, err
-	}
-	elapsed := time.Since(start)
-	return &ServeFloodResult{Events: conns * events, Elapsed: elapsed}, nil
-}
-
-// ServeFlood benchmarks the RPC front door: a multi-connection loopback
-// flood against the demo ledger, with the identical stream ingested
-// in-process as the no-wire baseline.
-func ServeFlood(scale Scale, conns, threads int) (*Report, error) {
-	events := scale.txns(25600)
-	span := 64
-	balance := int64(1000)
-
-	nw, err := ServeFloodNetwork(conns, events, span, balance, threads)
-	if err != nil {
-		return nil, err
-	}
-	inp, err := ServeFloodInProcess(conns, events, span, balance, threads)
-	if err != nil {
-		return nil, err
-	}
-
-	r := &Report{
-		Title:  "Framed RPC front door: loopback flood vs in-process ingest",
-		Header: []string{"mode", "conns", "events", "committed", "aborted", "elapsed", "thr(k/s)", "p50", "p95", "p99"},
-	}
-	ps := nw.RTT.Percentiles(50, 95, 99)
-	r.Rows = append(r.Rows, []string{
-		"rpc(loopback)", fmt.Sprint(conns), fmt.Sprint(nw.Events),
-		fmt.Sprint(nw.Committed), fmt.Sprint(nw.Aborted),
-		nw.Elapsed.Round(time.Millisecond).String(), kps(nw.Events, nw.Elapsed),
-		ps[0].Round(10 * time.Microsecond).String(),
-		ps[1].Round(10 * time.Microsecond).String(),
-		ps[2].Round(10 * time.Microsecond).String(),
-	})
-	r.Rows = append(r.Rows, []string{
-		"in-process", fmt.Sprint(conns), fmt.Sprint(inp.Events), "-", "-",
-		inp.Elapsed.Round(time.Millisecond).String(), kps(inp.Events, inp.Elapsed),
-		"-", "-", "-",
-	})
-	r.Notes = append(r.Notes,
-		"rpc row: each connection self-paces on an inflight-receipt window; RTT is submit-to-receipt as seen by the client",
-		"receipts are per-event frames correlated by connection-scoped txn id, delivered in submit order (exactly once)",
-		fmt.Sprintf("ledger: %d accounts per connection (disjoint ranges), initial balance %d; punctuation every 4096 events or 2ms", span, balance),
-	)
-	return r, nil
 }

@@ -13,7 +13,7 @@ import (
 // buildGraph constructs a TPG from (target, src) writes at increasing ts.
 func buildGraph(t *testing.T, specs [][2]string) *tpg.Graph {
 	t.Helper()
-	b := tpg.NewBuilder(nil)
+	b := tpg.NewBuilderIDs(nil)
 	for i, s := range specs {
 		tx := txn.NewTransaction(int64(i+1), uint64(i+1))
 		var srcs []txn.Key

@@ -346,11 +346,6 @@ func NewTable() *Table {
 	return t
 }
 
-// NewTableShards returns an empty table. The explicit shard count of the
-// seed's mod-N lock layout is superseded by Align — storage shards now
-// follow the executor's KeyID-range map — so n is inconsequential.
-func NewTableShards(n int) *Table { return NewTable() }
-
 // Align re-partitions the table into num contiguous KeyID-range shards over
 // [0, span) — the executor's shard map (exec shard count over
 // tpg.Graph.KeySpan) — moving existing chain headers to their new shards.

@@ -102,10 +102,8 @@ type Builder struct {
 	multi   int // ops with >1 source key
 	withSrc int // ops with >=1 source key
 
-	// allKeys / allKeyIDs lazily supply the key universe for
-	// non-deterministic fan-out (typically store.Table.Keys or, on the
-	// dense hot path, store.Table.KeyIDs).
-	allKeys   func() []Key
+	// allKeyIDs lazily supplies the key universe for non-deterministic
+	// fan-out (typically store.Table.KeyIDs).
 	allKeyIDs func() []store.KeyID
 
 	// childPos / parentPos are linkEdges scratch (count-then-offset
@@ -123,15 +121,9 @@ type Builder struct {
 	poolParent []*txn.Operation
 }
 
-// NewBuilder returns an empty Builder. allKeys supplies the key universe for
-// non-deterministic operations; it may be nil when the workload has none.
-func NewBuilder(allKeys func() []Key) *Builder {
-	return &Builder{allKeys: allKeys}
-}
-
-// NewBuilderIDs is NewBuilder with the key universe supplied as dense ids
-// (typically store.Table.KeyIDs), sparing the ND fan-out a string
-// round-trip per key. The engine uses this constructor.
+// NewBuilderIDs returns an empty Builder. allKeyIDs supplies the key
+// universe for non-deterministic operations as dense ids (typically
+// store.Table.KeyIDs); it may be nil when the workload has none.
 func NewBuilderIDs(allKeyIDs func() []store.KeyID) *Builder {
 	return &Builder{allKeyIDs: allKeyIDs}
 }
@@ -380,11 +372,6 @@ func (b *Builder) Finalize(workers int) *Graph {
 		if b.allKeyIDs != nil {
 			for _, id := range b.allKeyIDs() {
 				universe[id] = struct{}{}
-			}
-		}
-		if b.allKeys != nil {
-			for _, k := range b.allKeys() {
-				universe[store.Intern(k)] = struct{}{}
 			}
 		}
 		for i := range b.shards {

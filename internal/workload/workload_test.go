@@ -241,7 +241,7 @@ func TestMaterializedSLMatchesSerialAcrossStrategies(t *testing.T) {
 }
 
 func tpgBuild(txns []*txn.Transaction, table *store.Table) *tpg.Graph {
-	b := tpg.NewBuilder(table.Keys)
+	b := tpg.NewBuilderIDs(table.KeyIDs)
 	b.AddTxns(txns, 2)
 	return b.Finalize(2)
 }
